@@ -98,10 +98,11 @@ bench-fleet-smoke:
 # Cheap decision-bench gate for `make test`: the driver must build, and
 # the go-test decision benchmarks must run (one iteration each) without
 # failing — catches bit-rot in the benchmark harness without paying for
-# a full timing run.
+# a full timing run. BenchmarkKSStatShapes runs the merge-walk oracle
+# beside the breakpoint K-S kernel at the decision path's (m, n) shapes.
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
-	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectPresorted' -benchtime 1x ./internal/core ./internal/stats
+	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectPresorted|BenchmarkKSStatShapes' -benchtime 1x ./internal/core ./internal/stats
 
 # Observability overhead check: asserts the monitor's decision loop does
 # 0 allocs/op with tracing/flight recording disabled (the default), that

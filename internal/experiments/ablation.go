@@ -62,13 +62,18 @@ func AblationUTest(e *Env, w io.Writer) (*AblationUTestResult, error) {
 	}
 
 	evalAll := func(groups [][]float64) (ksRej, uRej, adRej int, err error) {
-		scratch := make([]float64, n)
+		sorted := make([]float64, n)
 		for gi, g := range groups {
+			// Sort once for K-S; U and A-D keep the group's own order
+			// (A-D's permutation shuffle starts from the input order, so
+			// a sorted group would change its draws).
+			copy(sorted, g)
+			stats.Sort(sorted)
 			// A group is rejected when *no* mode accepts it (same rule as
 			// the monitor, restricted to rank 0).
 			ksAll, uAll, adAll := true, true, true
 			for _, mode := range rm.Modes {
-				if !stats.KSRejectSorted(mode.Ref[0], g, scratch, cAlpha) {
+				if !stats.KSRejectPresorted(mode.Ref[0], sorted, cAlpha) {
 					ksAll = false
 				}
 				ures, err := stats.UTest(mode.Ref[0], g, t.model.Alpha)

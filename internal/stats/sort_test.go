@@ -96,7 +96,8 @@ func TestMedianSortedMatchesMedianScratch(t *testing.T) {
 }
 
 // TestKSPresortedMatchesSorted checks the presorted kernel against the
-// copy-and-sort kernel on random samples (the fuzz target deepens this).
+// merge-walk oracle and the copy-and-sort kernel on random samples (the
+// fuzz target deepens this).
 func TestKSPresortedMatchesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const cAlpha = 1.6276 // ~99% confidence
@@ -116,6 +117,7 @@ func TestKSPresortedMatchesSorted(t *testing.T) {
 		wantD, wantCrit := KSRejectStatSorted(ref, mon, scratch, cAlpha)
 		monSorted := append([]float64(nil), mon...)
 		Sort(monSorted)
+		requireKSMatchesMerge(t, ref, monSorted, cAlpha)
 		gotD, gotCrit := KSRejectStatPresorted(ref, monSorted, cAlpha)
 		if gotD != wantD || gotCrit != wantCrit {
 			t.Fatalf("trial %d: presorted (%g, %g) != sorted (%g, %g)", trial, gotD, gotCrit, wantD, wantCrit)
@@ -173,8 +175,8 @@ func BenchmarkKSStatistic(b *testing.B) {
 	}
 }
 
-// BenchmarkKSRejectPresorted is the sort-once hot-path kernel: one merge
-// pass, zero copies, zero allocations.
+// BenchmarkKSRejectPresorted is the sort-once hot-path kernel: one
+// breakpoint walk, zero copies, zero allocations.
 func BenchmarkKSRejectPresorted(b *testing.B) {
 	ref := make([]float64, 256)
 	mon := make([]float64, 64)
