@@ -99,10 +99,13 @@ bench-fleet-smoke:
 # the go-test decision benchmarks must run (one iteration each) without
 # failing — catches bit-rot in the benchmark harness without paying for
 # a full timing run. BenchmarkKSStatShapes runs the merge-walk oracle
-# beside the breakpoint K-S kernel at the decision path's (m, n) shapes.
+# beside the breakpoint K-S kernel at the decision path's (m, n) shapes;
+# BenchmarkRFFT512/1024 time the per-window real FFT, and
+# BenchmarkDetectorFeed the whole per-window detector path at the fleet
+# (1024/256) and pipeline (512/256) shapes, failing if it allocates.
 bench-decision-smoke:
 	go build -o /dev/null ./cmd/eddie-bench
-	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectPresorted|BenchmarkKSStatShapes' -benchtime 1x ./internal/core ./internal/stats
+	go test -short -run '^$$' -bench 'BenchmarkEvalGroups|BenchmarkObserveMultiMode|BenchmarkKSStatistic|BenchmarkKSRejectPresorted|BenchmarkKSStatShapes|BenchmarkRFFT512|BenchmarkRFFT1024|BenchmarkDetectorFeed' -benchtime 1x ./internal/core ./internal/stats ./internal/dsp ./internal/stream
 
 # Observability overhead check: asserts the monitor's decision loop does
 # 0 allocs/op with tracing/flight recording disabled (the default), that

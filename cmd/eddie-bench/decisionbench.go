@@ -98,7 +98,7 @@ func runDecisionBench(path string) error {
 		benches = append(benches, bench{fmt.Sprintf("TrainWorkers%d", p), nests, train(p)})
 	}
 
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	out := newBenchFile()
 	ns := map[string]float64{}
 	for _, bm := range benches {
 		r := testing.Benchmark(bm.fn)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"eddie/internal/dsp"
@@ -105,7 +104,7 @@ func denoiseBenches() []kernelBench {
 // checked-in baseline the run fails and the baseline file is left
 // untouched, mirroring the decision-bench gate.
 func runDenoiseBench(path string) error {
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	out := newBenchFile()
 	ns := map[string]float64{}
 	for _, bm := range denoiseBenches() {
 		r := testing.Benchmark(bm.fn)

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"eddie/internal/dsp"
@@ -21,11 +23,43 @@ type dspBenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// dspBenchFile is the top-level schema of BENCH_dsp.json.
+// dspBenchFile is the top-level schema of BENCH_dsp.json. The host
+// fields say where the numbers were taken: absolute ns/op only compare
+// between files recorded on the same CPU model and GOMAXPROCS.
 type dspBenchFile struct {
 	GoVersion  string           `json:"go_version"`
+	CPUModel   string           `json:"cpu_model,omitempty"`
+	NumCPU     int              `json:"num_cpu,omitempty"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Results    []dspBenchResult `json:"results"`
+}
+
+// newBenchFile returns an empty results file stamped with this host's
+// Go version, CPU model, CPU count and GOMAXPROCS.
+func newBenchFile() dspBenchFile {
+	return dspBenchFile{
+		GoVersion:  runtime.Version(),
+		CPUModel:   cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo, falling back to
+// the architecture name where that file does not exist.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 // runDSPBench times the DSP kernels with the stdlib benchmark driver and
@@ -66,6 +100,8 @@ func runDSPBench(path string) error {
 				dsp.FFTReal(sig[:1024])
 			}
 		}},
+		{"RFFTPower", 512, rfftPowerBench(sig[:512])},
+		{"RFFTPower", 1024, rfftPowerBench(sig[:1024])},
 		{"STFT", len(sig), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -85,7 +121,7 @@ func runDSPBench(path string) error {
 	// per-kernel reference file; -denoise-bench runs just them, gated.
 	benches = append(benches, denoiseBenches()...)
 
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	out := newBenchFile()
 	for _, bm := range benches {
 		r := testing.Benchmark(bm.fn)
 		res := dspBenchResult{
@@ -105,4 +141,22 @@ func runDSPBench(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// rfftPowerBench times one Hann-tapered power spectrum of the frame x
+// through a reused plan and scratch: the per-window transform of the
+// streaming detector.
+func rfftPowerBench(x []float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		n := len(x)
+		plan := dsp.PlanRFFT(n)
+		win := dsp.Window(dsp.Hann, n)
+		power := make([]float64, plan.SpectrumLen())
+		work := make([]complex128, plan.WorkLen())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			plan.PowerInto(power, x, win, work)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -103,7 +102,7 @@ func runObsBench(path string) error {
 	}
 	defer cleanup()
 
-	out := dspBenchFile{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	out := newBenchFile()
 	results := map[string]dspBenchResult{}
 	for _, bm := range benches {
 		r := testing.Benchmark(bm.fn)

@@ -66,10 +66,7 @@ func ExtractSTS(frames []trace.LabeledFrame, stftCfg dsp.STFTConfig, peakCfg dsp
 		if minBin < 1 {
 			minBin = 1
 		}
-		var energy float64
-		for b := minBin; b < len(f.Frame.Power); b++ {
-			energy += f.Frame.Power[b]
-		}
+		energy := dsp.BandEnergy(f.Frame.Power, minBin)
 		out = append(out, STS{
 			PeakFreqs: freqs,
 			Energy:    energy,

@@ -290,6 +290,67 @@ func TestFindPeaksOrderingAndCap(t *testing.T) {
 	}
 }
 
+// TestFindPeaksNonFiniteBand pins the overflow guard: a candidate band
+// whose total is not a positive finite number yields no peaks (never a
+// NaN fraction), while finite spectra are untouched by the guard.
+func TestFindPeaksNonFiniteBand(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	binHz := func(b int) float64 { return float64(b) }
+	for _, c := range []struct {
+		name  string
+		power []float64
+		want  int
+	}{
+		{"zeros", []float64{0, 0, 0, 0, 0}, 0},
+		{"inf-bin", []float64{0, 1, inf, 1, 0}, 0},
+		{"nan-bin", []float64{0, 1, nan, 1, 0}, 0},
+		{"inf-minus-inf", []float64{0, inf, 0, inf, 0}, 0},
+		{"band-sum-overflows", []float64{0, 0, 1e308, 0, 1e308, 0}, 0},
+		{"nan-below-band", []float64{nan, 0, 5, 0, 0}, 1},
+		{"finite", []float64{0, 0, 5, 0, 3, 0}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			frame := Frame{Power: c.power}
+			peaks := FindPeaks(&frame, DefaultPeakConfig(), binHz)
+			if len(peaks) != c.want {
+				t.Fatalf("got %d peaks %v, want %d", len(peaks), peaks, c.want)
+			}
+			for _, p := range peaks {
+				if math.IsNaN(p.Fraction) || math.IsNaN(p.Power) {
+					t.Fatalf("non-finite peak %+v", p)
+				}
+				if f := InterpolatePeakFrequency(&frame, p.Bin, 1); math.IsNaN(f) {
+					t.Fatalf("NaN interpolated frequency for %+v", p)
+				}
+			}
+		})
+	}
+
+	// The transform end of the same path: a finite but huge tone
+	// overflows the power spectrum of its Hann-tapered frame.
+	cfg := STFTConfig{WindowSize: 1024, HopSize: 1024, Window: Hann, SampleRate: 1024}
+	sig := make([]float64, 1024)
+	for i := range sig {
+		sig[i] = 1e160 * math.Sin(2*math.Pi*37*float64(i)/1024)
+	}
+	frames, err := STFT(sig, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonFinite := 0
+	for _, p := range frames[0].Power {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			nonFinite++
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("1e160 tone did not overflow the power spectrum; the case is not exercised")
+	}
+	if peaks := FindPeaks(&frames[0], DefaultPeakConfig(), cfg.BinFrequency); len(peaks) != 0 {
+		t.Fatalf("overflowed frame gave peaks %v", peaks)
+	}
+}
+
 func TestInterpolatePeakFrequency(t *testing.T) {
 	// A symmetric peak should interpolate to its center.
 	frame := Frame{Power: []float64{0, 1, 10, 100, 10, 1, 0}}

@@ -60,11 +60,11 @@ func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) flo
 	// unrelated parts of the signal (e.g. a high-power episode elsewhere
 	// in the run shifts the global mean); letting them into the
 	// denominator would suppress legitimate peaks.
-	var total float64
-	for i := minBin; i < len(p); i++ {
-		total += p[i]
-	}
-	if total <= 0 {
+	total := BandEnergy(p, minBin)
+	// An all-zero band, or one whose power overflowed (BandEnergy
+	// saturates to +Inf), admits no meaningful fractions: report no
+	// peaks rather than NaN ones.
+	if total <= 0 || math.IsInf(total, 1) {
 		return dst[:0]
 	}
 	peaks := dst[:0]
@@ -105,6 +105,21 @@ func FindPeaksInto(dst []Peak, frame *Frame, cfg PeakConfig, binHz func(int) flo
 		peaks = peaks[:cfg.MaxPeaks]
 	}
 	return peaks
+}
+
+// BandEnergy returns the sum of power[minBin:], the energy of a frame's
+// peak-candidate band. A spectrum that overflowed during the transform
+// can hold Inf and NaN (Inf-Inf) bins; its energy saturates to +Inf
+// rather than reading NaN, so downstream order statistics stay defined.
+func BandEnergy(power []float64, minBin int) float64 {
+	var total float64
+	for i := minBin; i < len(power); i++ {
+		total += power[i]
+	}
+	if math.IsNaN(total) {
+		return math.Inf(1)
+	}
+	return total
 }
 
 // sortPeaks orders peaks by power descending, breaking ties by bin

@@ -88,8 +88,6 @@ type Detector struct {
 	win      []float64 // analysis window coefficients
 	buf      []float64 // pending samples (DC-blocked), len < WindowSize + HopSize
 	plan     *dsp.RFFTPlan
-	windowed []float64
-	spec     []complex128
 	work     []complex128
 	power    []float64
 	freqs    []float64
@@ -168,15 +166,13 @@ func NewDetector(model *core.Model, cfg Config) (*Detector, error) {
 		// The coefficient table is a pure function of (kind, size) and
 		// only ever read, so all detectors of one process share it (a
 		// fleet node's sessions would otherwise each hold a copy).
-		win:      dsp.SharedWindow(cfg.STFT.Window, ws),
-		buf:      make([]float64, 0, ws),
-		plan:     plan,
-		windowed: make([]float64, ws),
-		spec:     make([]complex128, plan.SpectrumLen()),
-		work:     make([]complex128, plan.WorkLen()),
-		power:    make([]float64, plan.SpectrumLen()),
-		dcAlpha:  1 / cfg.DCTau,
-		binW:     cfg.STFT.SampleRate / float64(ws),
+		win:     dsp.SharedWindow(cfg.STFT.Window, ws),
+		buf:     make([]float64, 0, ws),
+		plan:    plan,
+		work:    make([]complex128, plan.WorkLen()),
+		power:   make([]float64, plan.SpectrumLen()),
+		dcAlpha: 1 / cfg.DCTau,
+		binW:    cfg.STFT.SampleRate / float64(ws),
 		// Bound once: building the method value per window would
 		// allocate a closure on the hot path.
 		binHz:        cfg.STFT.BinFrequency,
@@ -299,12 +295,8 @@ func (d *Detector) processWindow() {
 	if d.cfg.Metrics != nil {
 		t0 = time.Now()
 	}
-	ws := d.cfg.STFT.WindowSize
 	sp := d.track.Start("stft")
-	for j := 0; j < ws; j++ {
-		d.windowed[j] = d.buf[j] * d.win[j]
-	}
-	d.plan.PowerInto(d.power, d.windowed, d.spec, d.work)
+	d.plan.PowerInto(d.power, d.buf, d.win, d.work)
 	sp.End()
 	if d.denoiser != nil {
 		sp = d.track.Start("denoise")
@@ -333,10 +325,7 @@ func (d *Detector) processWindow() {
 	if minBin < 1 {
 		minBin = 1
 	}
-	var energy float64
-	for b := minBin; b < len(d.power); b++ {
-		energy += d.power[b]
-	}
+	energy := dsp.BandEnergy(d.power, minBin)
 	// Reuse the detector-owned STS: a stack literal escapes through the
 	// Observe call and would heap-allocate every window. Monitor.Observe
 	// copies the peak list into its ring, so nothing here is retained.
